@@ -134,8 +134,8 @@ class AccessStats:
         self._dir_last_access[dir_id] = self.epoch
 
     # ------------------------------------------------------------ batched path
-    # The columnar engine records whole same-directory op runs at once.
-    # Each method is op-for-op equivalent to the scalar calls it replaces:
+    # The turbo create tick records a client's whole tick of creates at
+    # once. Each method is op-for-op equivalent to the scalar calls it replaces:
     # integer tallies are commutative, and heat accumulates by repeated
     # ``+= 1.0`` (never ``+= n`` — adding an integer to an arbitrary float
     # in one step can round differently than n unit steps, and heat feeds

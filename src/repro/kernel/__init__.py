@@ -1,12 +1,11 @@
-"""Columnar serve-path kernel.
+"""Serve-path kernel.
 
-The simulator's per-tick hot path, rewritten over batched state: a
-precomputed dir→authority table (:mod:`repro.kernel.authtable`) replaces
-per-request dict walks, and a run-batching engine
-(:mod:`repro.kernel.engine`) serves whole same-directory op runs per
-client per quantum round instead of iterating Python op tuples one at a
-time. Decision equivalence with the scalar reference path is the
-contract — see ``docs/PERFORMANCE.md``.
+The simulator's per-tick hot path (:mod:`repro.kernel.engine`): one
+per-op client turn drained round-robin, plus the turbo create tick that
+serves a whole create-storm tick in batched steps against a precomputed
+dir→authority table (:mod:`repro.kernel.authtable`). The turbo tick
+must leave decisions byte-identical to the per-op loop alone
+(``SimConfig(engine="scalar")``) — see ``docs/PERFORMANCE.md``.
 """
 
 from repro.kernel.authtable import AuthTable

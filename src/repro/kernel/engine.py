@@ -1,51 +1,38 @@
-"""The columnar serve engine: run-batched, decision-equivalent serving.
+"""The serve engine: one per-op client turn plus the turbo create tick.
 
-One tick of the scalar reference path drains clients round-robin, one op
-at a time: every op pays a ``Router.route`` dict walk, a per-op stats
-update and a generator ``next``. This engine serves *runs* — maximal
-same-directory, same-class op prefixes — in single batched steps, while
-producing byte-identical decision traces:
+A tick drains the ready clients round-robin against per-MDS capacity
+credits. Each client's turn (:meth:`ColumnarEngine._serve_turn`) serves
+up to ``serve_quantum`` ops one at a time — route, capacity check,
+forward charges, MDS credit, stats, data path, client advance — and this
+one turn is the serve semantics of both ``SimConfig.engine`` settings.
 
-- authority comes from the :class:`~repro.kernel.authtable.AuthTable`
-  (rebuilt only on authority-map version bumps) instead of per-request
-  resolution; an op is *pure* when the client's cached authority matches
-  the table (no hops, no cache mutation — ``route`` would be a no-op);
-- any op that could have routing side effects (cold or stale cache, a
-  fragment redirect, a data-path stall) falls back to a scalar
-  ``_serve_op`` that mirrors the reference loop statement for statement;
-- per-client effects of a pure run are applied in one step each:
-  :meth:`~repro.cluster.mds.MDS.serve_batch` (exact — integer
-  subtraction below 1.0 never rounds), batched stats recording (heat by
-  repeated ``+= 1.0``; tallies are commutative), and
-  :meth:`~repro.workloads.base.Client.advance_run` (op buffer + RNG
-  stall-block lookahead, value-identical by per-client substreams).
-
-Round-robin structure is preserved exactly: clients take at most
-``serve_quantum`` ops per round, so cross-client interleaving — the only
-thing capacity contention and shared-directory creates can observe — is
-unchanged. A tick's sole surviving client is drained without round
-bookkeeping (interleaving is vacuous then), which removes the quantum
-cap from long single-client tails.
-
-On top of the run-batched round loop sits a tick-level fast path
-(:meth:`ColumnarEngine._turbo_tick`) for the homogeneous regime — every
-active client a pure warm-cache create stream into its own directory (an
-mdtest-style create storm, the serve path's worst case). There the whole
-tick collapses to integer arithmetic: client cuts come from the
+``engine="columnar"`` (the default) adds a single fast path, the turbo
+tick (:meth:`ColumnarEngine._turbo_tick`), for the homogeneous regime:
+every active client a create stream into its own directory (an
+mdtest-style create storm, the serve path's worst case). For warm-cache
+clients the tick collapses to integer arithmetic: client cuts come from the
 pre-scanned stall queue, round-robin capacity contention is emulated
 over per-directory fragment-owner cycles without touching an op, and
 each client gets exactly one batched apply (MDS credits, stats, stream
-skip) per tick. Any client that breaks the regime — cold or stale
-cache, a fragment whose owner would redirect, a data op, a rate limit,
-a shared directory — sends the tick down the general round loop.
+skip) per tick. Clients whose cache is cold or stale take their turns
+through the per-op turn in the same round-robin sequence until those
+turns have warmed it, and are emulated from then on. Any client
+that breaks the regime — a data op, a rate limit, a shared or non-stream
+directory — sends the tick down the plain round-robin loop.
+``engine="scalar"`` is the same engine with the turbo tick off: the
+reference the differential tests compare against.
+
+An earlier design also batched same-directory op runs inside the round
+loop. It paid on no shape: on the create benchmarks turbo ticks carry
+almost every op (mdtest: 592,672 of 600,000), and on the read workloads
+its runs averaged under four ops, which made it 3.7-7.6x slower than
+the per-op turn on web, mixed and cnn (docs/PERFORMANCE.md has the
+measurements).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-
-import numpy as np
 
 from repro.cluster.mds import MDS
 from repro.cluster.osd import OsdPool
@@ -57,29 +44,19 @@ from repro.workloads.base import OP_CREATE, OP_READDIR, Client
 
 __all__ = ["ColumnarEngine"]
 
-# outcome of one client's turn in a round
-_SURVIVE = 0  # quantum exhausted while still ready: rejoin next round
-_OUT = 1  # out for the rest of this tick (stall/done/rate/data/capacity)
-
-# outcome of a single scalar-fallback op
-_OP_SERVED = 0
-_OP_OUT = 1
-_OP_BLOCKED = 2
-
-# run classes (must match the scalar stats dispatch exactly)
-_CREATE = 0
-_DIR = 1
-_FILE = 2
+#: a multi-owner dir's fragment-owner cycle ``(P, starts, lens, owners)``:
+#: the run-length encoding of its ``P`` frag owners in create order
+_Cycle = tuple[int, list[int], list[int], list[int]]
 
 
 class ColumnarEngine:
-    """Drop-in replacement for ``Simulator._serve_tick``'s body."""
+    """The body of ``Simulator._serve_tick``."""
 
     def __init__(self, *, clients: list[Client], mdss: list[MDS],
                  router: Router, tree: NamespaceTree, stats: AccessStats,
                  osd: OsdPool | None, data_busy: set[int],
                  serve_quantum: int, forward_charge: float,
-                 data_window: float) -> None:
+                 data_window: float, turbo: bool) -> None:
         # live references — the simulator mutates these lists/sets in place
         self.clients = clients
         self.mdss = mdss
@@ -91,6 +68,8 @@ class ColumnarEngine:
         self.serve_quantum = serve_quantum
         self.forward_charge = forward_charge
         self.data_window = data_window
+        #: try the turbo create tick before the round-robin loop
+        self.turbo = turbo
         self.table = AuthTable(router.authmap)
         self._wait = 0
         # cid -> ((dir, frag generation, lease expiry), lo, hi): fragment
@@ -106,41 +85,29 @@ class ColumnarEngine:
             c for c in self.clients
             if c.done_at is None and c.ready_at <= now and c.cid not in data_busy
         ]
-        if not active:
-            return 0
-        auth = self.table.refresh()
-        frag_info = self.table.frag_info
-        router = self.router
-        if router.lease_ttl > 0:
-            # The scalar path expires leases inside every active client's
-            # first route() of the tick; hoisting the (idempotent) check
-            # here lets pure runs skip route() entirely.
-            for c in active:
-                router.check_lease(c.routing, now)
         self._wait = 0
-        if self._turbo_tick(active, now, auth):
+        if self.turbo and active and self._turbo_tick(active, now):
             return self._wait
         quantum = self.serve_quantum
         while active:
             survivors: list[Client] = []
-            # a lone client's rounds cannot interleave with anyone: drain
-            # it in one turn instead of quantum-sized slices
-            budget = quantum if len(active) > 1 else (1 << 30)
             for c in active:
                 if c.rate is not None:
                     if c.rate_tick != now:
                         c.rate_tick = now
                         c.rate_served = 0
                     elif c.rate_served >= c.rate:
+                        # rate-exhausted for this tick: skip the client AND
+                        # leave it out of survivors, so the drain loop never
+                        # rescans it in later quantum rounds of this tick
                         continue
-                if self._serve_client(c, now, budget, auth, frag_info) == _SURVIVE:
+                if self._serve_turn(c, now, quantum):
                     survivors.append(c)
             active = survivors
         return self._wait
 
     # ------------------------------------------------------------- turbo tick
-    def _turbo_tick(self, active: list[Client], now: int,
-                    auth: list[int]) -> bool:
+    def _turbo_tick(self, active: list[Client], now: int) -> bool:
         """Serve a homogeneous pure tick without materializing any op.
 
         Eligible when every active client is an unlimited-rate create
@@ -153,63 +120,47 @@ class ColumnarEngine:
         columns, and every per-client side effect is applied once, in a
         single batched step after the race. Clients whose cache is cold
         or stale (the first post-migration tick) take their turns through
-        the general round path in the same round-robin sequence — credits
-        stay live precisely so both kinds of turn observe each other.
+        :meth:`_serve_turn` in the same round-robin sequence — credits
+        stay live precisely so both kinds of turn observe each other —
+        until those turns' ``route`` calls have warmed the cache for the
+        rest of the tick; from then on they are emulated too.
         Returns False — with no simulation state touched — if any client
         breaks the regime (rate limits, data ops, shared or non-stream
         directories).
         """
         if self.osd is not None:
             return False
-        table = self.table
-        frag_seq = table.frag_seq
-        frag_rle = table.frag_rle
-        frag_info = table.frag_info
-        frag_gen = table.frag_gen
-        n_files = self.tree.n_files
         k = len(active)
-        dirs: set[int] = set()
         ds = [0] * k  # target directory per client
-        nfs = [0] * k  # its file count at tick start (first create index)
-        n_cs = [0] * k  # tick cut: ops until stall / stream end
-        #: owner cycle RLE ``(P, starts, lens, owners)`` for multi-owner dirs
-        cycles: list[tuple[int, list[int], list[int], list[int]] | None] = [None] * k
-        owners1 = [0] * k  # the single owner when cycles[i] is None
-        slow = [False] * k  # cold/stale cache: serve live via the round path
+        dirs: set[int] = set()
         for i, c in enumerate(active):
-            if c.rate is not None:
-                return False
-            left = c.stream_left()
-            if left is None:
+            if c.rate is not None or c.stream_left() is None:
                 return False
             kind, d, _idx, nb = c.current  # type: ignore[misc]
-            if kind != OP_CREATE or nb != 0:
-                return False
-            if d in dirs:
+            if kind != OP_CREATE or nb != 0 or d in dirs:
                 return False
             dirs.add(d)
             ds[i] = d
-            if c.routing.auth_cache.get(d) != auth[d]:
+        table = self.table
+        auth = table.refresh()
+        router = self.router
+        if router.lease_ttl > 0:
+            # route() expires leases inside every client's first op of the
+            # tick; checking them up front (idempotent within a tick, and
+            # per-client state only) is what lets warm clients skip route()
+            for c in active:
+                router.check_lease(c.routing, now)
+        nfs = [0] * k  # file count when emulation starts (first create index)
+        n_cs = [0] * k  # tick cut: ops until stall / stream end
+        cycles: list[_Cycle | None] = [None] * k  # multi-owner dirs only
+        owners1 = [0] * k  # the single owner when cycles[i] is None
+        slow = [False] * k  # cold/stale cache: served by the per-op turn
+        for i, c in enumerate(active):
+            plan = self._warm_plan(c, ds[i], auth)
+            if plan is None:
                 slow[i] = True
-                continue
-            cut = c.stall_scan(left - 1)
-            n_c = left if cut < 0 else cut + 1
-            nf = n_files[d]
-            seq = frag_seq.get(d)
-            if seq is None:
-                owners1[i] = auth[d]
             else:
-                if not self._frag_window_warm(c, d, nf, n_c, seq, frag_gen[d]):
-                    slow[i] = True
-                    continue
-                uniform = frag_info[d][2]
-                if uniform is not None:
-                    owners1[i] = uniform
-                else:
-                    starts, lens, sowners = frag_rle[d]
-                    cycles[i] = (len(seq), starts, lens, sowners)
-            nfs[i] = nf
-            n_cs[i] = n_c
+                nfs[i], n_cs[i], owners1[i], cycles[i] = plan
         # -- the round-robin capacity race against live credit columns ------
         # Emulated turns debit MDS.remaining in place (exact: stepwise and
         # batched subtraction of integer credits agree in IEEE-754), so
@@ -270,8 +221,13 @@ class ColumnarEngine:
             for i in order:
                 if slow[i]:
                     c = active[i]
-                    if self._serve_client(c, now, budget, auth,
-                                          frag_info) == _SURVIVE:
+                    if self._serve_turn(c, now, budget):
+                        # the turn's route() calls may have warmed the
+                        # cache: emulate the client's rest of the tick
+                        plan = self._warm_plan(c, ds[i], auth)
+                        if plan is not None:
+                            slow[i] = False
+                            nfs[i], n_cs[i], owners1[i], cycles[i] = plan
                         nxt.append(i)
                     continue
                 left = n_cs[i] - served[i]
@@ -358,6 +314,34 @@ class ColumnarEngine:
         self._wait += wait
         return True
 
+    def _warm_plan(self, c: Client, d: int, auth: list[int]
+                   ) -> tuple[int, int, int, _Cycle | None] | None:
+        """How the turbo tick emulates ``c``'s creates into ``d`` from now.
+
+        Returns ``(first create index, ops until stall or stream end,
+        single owner, owner cycle or None)``, or None while ``c``'s cache
+        is cold or stale for this window — ``route`` could then hop or
+        rewrite a cached owner, so the client is served op by op.
+        """
+        if c.routing.auth_cache.get(d) != auth[d]:
+            return None
+        left = c.stream_left()
+        assert left is not None
+        cut = c.stall_scan(left - 1)
+        n_c = left if cut < 0 else cut + 1
+        nf = self.tree.n_files[d]
+        table = self.table
+        seq = table.frag_seq.get(d)
+        if seq is None:
+            return nf, n_c, auth[d], None
+        if not self._frag_window_warm(c, d, nf, n_c, seq, table.frag_gen[d]):
+            return None
+        uniform = table.frag_info[d][2]
+        if uniform is not None:
+            return nf, n_c, uniform, None
+        starts, lens, sowners = table.frag_rle[d]
+        return nf, n_c, 0, (len(seq), starts, lens, sowners)
+
     def _frag_window_warm(self, c: Client, d: int, nf: int, n_c: int,
                           seq: list[int], gen: int) -> bool:
         """Is every fragment key this tick's create window can touch warm?
@@ -399,314 +383,64 @@ class ColumnarEngine:
         return True
 
     # ------------------------------------------------------------ client turn
-    def _serve_client(self, c: Client, now: int, budget: int,
-                      auth: list[int], frag_info: dict) -> int:
+    def _serve_turn(self, c: Client, now: int, budget: int) -> bool:
+        """Serve up to ``budget`` ops of ``c``, one at a time.
+
+        This is the reference serve semantics: route, capacity check,
+        forward charges, MDS credit, stats, data path, client advance.
+        Returns True while ``c`` is still ready (it rejoins the next
+        round); False once it is out for the rest of the tick — blocked
+        on capacity (one tick of queueing delay), stalled, done, data-
+        bound or rate-exhausted.
+        """
         mdss = self.mdss
+        route = self.router.route
         tree = self.tree
         stats = self.stats
         osd = self.osd
-        cache = c.routing.auth_cache
-        rate = c.rate
-        while budget > 0:
-            kind, d, idx, nb = c.current  # type: ignore[misc]
-            serving = auth[d]
-            if cache.get(d) != serving:
-                # cold or stale cache: route() resolves/redirects with
-                # side effects — replay the reference path for this op
-                status = self._serve_op(c, now)
-                if status == _OP_BLOCKED:
-                    self._wait += 1
-                    return _OUT
-                if status == _OP_OUT:
-                    return _OUT
-                budget -= 1
-                continue
-            frag = frag_info.get(d)
-            # head-op class (mirrors the scalar stats dispatch)
-            if kind == OP_CREATE:
-                cls = _CREATE
-            elif kind == OP_READDIR or idx < 0:
-                cls = _DIR
-            else:
-                cls = _FILE
-            nf0 = tree.n_files[d]
-            head_ridx = nf0 if cls == _CREATE else idx
-            if nb > 0 and osd is not None:
-                status = self._serve_op(c, now)
-                if status == _OP_BLOCKED:
-                    self._wait += 1
-                    return _OUT
-                if status == _OP_OUT:
-                    return _OUT
-                budget -= 1
-                continue
-            serving_op = serving
-            multi = False
-            if frag is not None:
-                if head_ridx >= 0:
-                    fa = self._head_frag_owner(frag, cache, d, head_ridx,
-                                               serving)
-                    if fa < 0:
-                        # cold or stale fragment key: route() hops — replay
-                        # the reference path for this op
-                        status = self._serve_op(c, now)
-                        if status == _OP_BLOCKED:
-                            self._wait += 1
-                            return _OUT
-                        if status == _OP_OUT:
-                            return _OUT
-                        budget -= 1
-                        continue
-                    serving_op = fa
-                uniform = frag[2]
-                # a run serves at one MDS only if every op resolves to one
-                # owner: non-uniform frag cycles never do, and dir-class
-                # runs mix unfragged (dir-auth) ops with fragment owners
-                multi = uniform is None or (cls == _DIR and uniform != serving)
-            # pure head: route() would return (serving_op, []) with no side
-            # effects beyond a value-preserving (or fresh same-owner) frag
-            # cache write — capacity is now the only gate, exactly as in
-            # the reference order (route first, then the remaining<1.0
-            # check)
-            mds = mdss[serving_op]
-            rem = mds.remaining
-            if rem < 1.0:
+        forward_charge = self.forward_charge
+        for _ in range(budget):
+            kind, d, idx, nbytes = c.current  # type: ignore[misc]
+            ridx = tree.n_files[d] if kind == OP_CREATE else idx
+            serving, hops = route(c.routing, d, ridx, now)
+            mds = mdss[serving]
+            if mds.remaining < 1.0:
+                # ready but unserved for the rest of this tick: one tick
+                # of queueing delay for this client
                 self._wait += 1
-                return _OUT
-            if multi:
-                # capacity is emulated inside the run, but total cluster
-                # credits still bound how far it can go — without this a
-                # lone-survivor drain would scan (and buffer) the whole
-                # remaining stream just to serve a tick's worth
-                cap = 1
-                for md2 in mdss:
-                    cap += int(md2.remaining)
-                t_limit = budget if budget < cap else cap
+                return False
+            for h in hops:
+                hop = mdss[h]
+                hop.remaining -= forward_charge
+                hop.forwards_handled += 1
+            mds.serve()
+            c.meta_ops += 1
+            if c.rate is not None:
+                c.rate_served += 1
+            if kind == OP_CREATE:
+                new_idx = tree.add_files(d, 1)
+                stats.record_file_access(d, new_idx, created=True)
+            elif kind == OP_READDIR or idx < 0:
+                stats.record_dir_access(d)
             else:
-                t_limit = min(budget, int(rem))
-            if rate is not None:
-                # rates may be fractional: the scalar loop serves until
-                # rate_served >= rate, i.e. ceil(rate - served) more ops
-                t_limit = min(t_limit, math.ceil(rate - c.rate_served))
-            t = self._serve_run(c, now, t_limit, cls, d, nf0, frag, serving,
-                                cache, mds, stats, tree, osd, multi)
-            budget -= t
+                stats.record_file_access(d, idx)
+            if nbytes > 0:
+                c.data_ops += 1
+                c.data_bytes += nbytes
+                if osd is not None:
+                    osd.start(c.cid, float(nbytes))
+                    # Data reads pipeline behind metadata; the client
+                    # stalls only once it outruns the OSD pool by more
+                    # than its prefetch window.
+                    if osd.outstanding(c.cid) > self.data_window:
+                        self.data_busy.add(c.cid)
+                        c.advance(now)
+                        return False
+            c.advance(now)
             if c.done_at is not None:
                 if osd is not None and osd.outstanding(c.cid) > 0.0:
                     self.data_busy.add(c.cid)
-                return _OUT
-            if c.ready_at > now:
-                return _OUT
-            if rate is not None and c.rate_served >= rate:
-                return _OUT
-        return _SURVIVE
-
-    @staticmethod
-    def _head_frag_owner(frag: tuple[int, dict[int, int], int | None],
-                         cache: dict, d: int, ridx: int, serving: int) -> int:
-        """The fragment owner route() would serve at, or -1 if impure.
-
-        Pure means route() takes no hop and any frag-cache write it makes
-        is replicated by the batch path: the cached entry equals the live
-        owner (warm — the write rewrites its value), or the key is cold
-        *and* the owner is the directory authority (the fresh write the
-        batch path performs; a cold key whose owner differs would hop).
-        """
-        bits, owners, _uniform = frag
-        frag_no = ridx & ((1 << bits) - 1)
-        fa = owners.get(frag_no, serving)
-        cached = cache.get((d, frag_no))
-        if cached is None:
-            if fa != serving:
-                return -1
-        elif cached != fa:
-            return -1
-        return fa
-
-    # ------------------------------------------------------------------- run
-    def _serve_run(self, c: Client, now: int, t_limit: int, cls: int, d: int,
-                   nf0: int, frag: tuple[int, dict[int, int], int | None] | None,
-                   serving: int, cache: dict, mds: MDS, stats: AccessStats,
-                   tree: NamespaceTree, osd: OsdPool | None,
-                   multi: bool) -> int:
-        """Serve up to ``t_limit`` ops of the pure run at the stream head.
-
-        Returns the number of ops actually served (>= 1: the head op is
-        known pure and capacity-admitted by the caller). With ``multi``
-        the run's ops may resolve to different fragment owners; the
-        caller's ``t_limit`` then excludes capacity, which is emulated
-        here per op in stream order against a local credit view.
-        """
-        buf, start, avail = c.buffered_ops(t_limit)
-        scan_lim = min(t_limit, 1 + avail)
-        mdss = self.mdss
-        # -- scan: maximal same-dir same-class pure prefix ------------------
-        idxs: list[int] | None = [] if cls == _FILE else None
-        frag_keys: list[tuple[tuple[int, int], int]] | None = (
-            [] if frag is not None else None)
-        ows: list[int] | None = [] if multi else None
-        nbs: list[int] | None = None
-        t_scan = 1  # the head op, vetted by the caller
-        if frag is not None:
-            assert frag_keys is not None
-            bits, owners, _uniform = frag
-            mask = (1 << bits) - 1
-            head_ridx = nf0 if cls == _CREATE else c.current[2]  # type: ignore[index]
-            if head_ridx >= 0:
-                fn = head_ridx & mask
-                fa = owners.get(fn, serving)
-                frag_keys.append(((d, fn), fa))
-                if ows is not None:
-                    ows.append(fa)
-            elif ows is not None:
-                ows.append(serving)
-        head_nb = c.current[3]  # type: ignore[index]
-        if cls == _FILE:
-            assert idxs is not None
-            idxs.append(c.current[2])  # type: ignore[index]
-        if head_nb > 0:
-            nbs = [head_nb]
-        for i in range(1, scan_lim):
-            kind2, d2, idx2, nb2 = buf[start + i - 1]
-            if d2 != d:
-                break
-            if kind2 == OP_CREATE:
-                cls2 = _CREATE
-            elif kind2 == OP_READDIR or idx2 < 0:
-                cls2 = _DIR
-            else:
-                cls2 = _FILE
-            if cls2 != cls:
-                break
-            if nb2 > 0 and osd is not None:
-                break
-            if frag is not None:
-                ridx2 = nf0 + i if cls == _CREATE else idx2
-                if ridx2 >= 0:
-                    # inline _head_frag_owner: pure iff warm (cached ==
-                    # live owner) or cold with owner == dir authority
-                    fn = ridx2 & mask
-                    fa = owners.get(fn, serving)
-                    cached = cache.get((d, fn))
-                    if cached is None:
-                        if fa != serving:
-                            break
-                    elif cached != fa:
-                        break
-                    assert frag_keys is not None
-                    frag_keys.append(((d, fn), fa))
-                    if ows is not None:
-                        ows.append(fa)
-                elif ows is not None:
-                    ows.append(serving)
-            if cls == _FILE:
-                assert idxs is not None
-                idxs.append(idx2)
-            if nb2 > 0 and nbs is None:
-                nbs = [0] * i
-            if nbs is not None:
-                nbs.append(nb2)
-            t_scan += 1
-        # -- cut: capacity (multi-owner runs), then the first stalling
-        # think-time draw --------------------------------------------------
-        if ows is not None:
-            # walk owners in stream order against a local credit view; the
-            # first op whose owner is below one credit ends the run there
-            # (the blocked op stays at the head: the next round's head
-            # check attributes the wait tick, exactly as the scalar loop)
-            remloc: dict[int, float] = {}
-            t_cap = t_scan
-            for p in range(t_scan):
-                m = ows[p]
-                r = remloc.get(m)
-                if r is None:
-                    r = mdss[m].remaining
-                if r < 1.0:
-                    t_cap = p
-                    break
-                remloc[m] = r - 1.0
-        else:
-            t_cap = t_scan
-        # the advance onto a missing (stream-final) op never draws, so a
-        # run that ends the stream scans one fewer draw than it has ops
-        n_draws = t_cap if t_cap <= avail else t_cap - 1
-        s = c.stall_scan(n_draws)
-        t = s + 1 if s >= 0 else t_cap
-        # -- apply: one batched step per side effect ------------------------
-        if ows is None:
-            mds.serve_batch(t)
-        else:
-            counts: dict[int, int] = {}
-            for m in ows[:t]:
-                counts[m] = counts.get(m, 0) + 1
-            for m, n in counts.items():
-                mdss[m].serve_batch(n)
-        c.meta_ops += t
-        if c.rate is not None:
-            c.rate_served += t
-        if cls == _CREATE:
-            first = tree.add_files(d, t)
-            stats.record_create_batch(d, first, t)
-        elif cls == _DIR:
-            stats.record_dir_batch(d, t)
-        else:
-            assert idxs is not None
-            stats.record_file_batch(d, np.asarray(idxs[:t], dtype=np.int64))
-        if nbs is not None:
-            served_nbs = nbs[:t]
-            n_data = sum(1 for b in served_nbs if b > 0)
-            if n_data:
-                c.data_ops += n_data
-                c.data_bytes += sum(served_nbs)
-        if frag_keys:
-            for key, owner in frag_keys[:t]:
-                cache[key] = owner
-        c.advance_run(t, now)
-        return t
-
-    # --------------------------------------------------------- scalar fallback
-    def _serve_op(self, c: Client, now: int) -> int:
-        """One op exactly as the scalar reference loop serves it."""
-        tree = self.tree
-        kind, d, idx, nb = c.current  # type: ignore[misc]
-        ridx = tree.n_files[d] if kind == OP_CREATE else idx
-        serving, hops = self.router.route(c.routing, d, ridx, now)
-        mdss = self.mdss
-        mds = mdss[serving]
-        if mds.remaining < 1.0:
-            return _OP_BLOCKED
-        forward_charge = self.forward_charge
-        for h in hops:
-            hop = mdss[h]
-            hop.remaining -= forward_charge
-            hop.forwards_handled += 1
-        mds.serve()
-        c.meta_ops += 1
-        if c.rate is not None:
-            c.rate_served += 1
-        stats = self.stats
-        if kind == OP_CREATE:
-            new_idx = tree.add_files(d, 1)
-            stats.record_file_access(d, new_idx, created=True)
-        elif kind == OP_READDIR or idx < 0:
-            stats.record_dir_access(d)
-        else:
-            stats.record_file_access(d, idx)
-        osd = self.osd
-        if nb > 0:
-            c.data_ops += 1
-            c.data_bytes += nb
-            if osd is not None:
-                osd.start(c.cid, float(nb))
-                if osd.outstanding(c.cid) > self.data_window:
-                    self.data_busy.add(c.cid)
-                    c.advance(now)
-                    return _OP_OUT
-        c.advance(now)
-        if c.done_at is not None:
-            if osd is not None and osd.outstanding(c.cid) > 0.0:
-                self.data_busy.add(c.cid)
-            return _OP_OUT
-        if c.ready_at > now or (c.rate is not None and c.rate_served >= c.rate):
-            return _OP_OUT
-        return _OP_SERVED
+                return False
+            if c.ready_at > now or (c.rate is not None and c.rate_served >= c.rate):
+                return False
+        return True

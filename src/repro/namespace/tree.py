@@ -150,7 +150,7 @@ class NamespaceTree:
 
         Equivalent to ``count`` :meth:`touch_file` calls on freshly created
         indices (all previous epochs are ``NEVER_ACCESSED``); used by the
-        columnar engine for create runs.
+        turbo create tick.
         """
         if count <= 0:
             return

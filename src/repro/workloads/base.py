@@ -137,8 +137,8 @@ class Client:
         self._draw_abs = 0
         self._stalls: list[int] = []
         self._scanned_abs = 0
-        # Ops buffered ahead of ``current`` by the columnar engine; the
-        # scalar path drains them before touching the generator again.
+        # Ops buffered ahead of ``current`` by :meth:`buffered_ops`;
+        # advance() drains them before touching the generator again.
         self._buf: list[Op] = []
         self._buf_pos = 0
         self._exhausted = False
@@ -173,8 +173,8 @@ class Client:
                 self.ready_at = now + 1
 
     # ---------------------------------------------------------- batched path
-    # Column views for the engine: ops buffered ahead of the stream, stall
-    # draws peekable in bulk. Every method is advance()-equivalent op for
+    # Bulk views of the stream: ops buffered ahead of it, stall draws
+    # peekable in bulk (the turbo create tick cuts ticks with stall_scan). Every method is advance()-equivalent op for
     # op; the generator and the client RNG observe the same call sequences
     # either way (per-client substreams make early pulls value-identical).
 

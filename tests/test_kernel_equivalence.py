@@ -15,39 +15,44 @@ import numpy as np
 import pytest
 
 from repro.cluster.simulator import SimConfig
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import BENCH_SIM_CONFIG, ExperimentConfig
 from repro.experiments.runner import run_traced
 
 SMALL = SimConfig(n_mds=3, mds_capacity=60.0, epoch_len=5, max_ticks=1200,
                   migration_rate=50, seed=0)
 
-#: name -> (workload, balancer, sim config, workload overrides, data_path)
+#: name -> (workload, balancer, clients, seed, scale, sim config,
+#: workload overrides, data_path)
 MATRIX = {
-    "mdtest_lunule": ("mdtest", "lunule", SMALL, {}, False),
-    "mixed_lunule": ("mixed", "lunule", SMALL, {}, False),
-    "zipf_vanilla": ("zipf", "vanilla", SMALL, {}, False),
-    # Rate-limited clients: the per-tick op budget forces runs to span
-    # ticks and the turbo path to fall back.
-    "rate_limited": ("mdtest", "lunule", SMALL,
+    "mdtest_lunule": ("mdtest", "lunule", 6, 11, 0.12, SMALL, {}, False),
+    "mixed_lunule": ("mixed", "lunule", 6, 11, 0.12, SMALL, {}, False),
+    "zipf_vanilla": ("zipf", "vanilla", 6, 11, 0.12, SMALL, {}, False),
+    # Rate-limited clients: the per-tick op budget forces the turbo tick
+    # to fall back to the round-robin loop.
+    "rate_limited": ("mdtest", "lunule", 6, 11, 0.12, SMALL,
                      {"client_rate": 2.5, "creates_per_client": 120}, False),
-    # Data path on: OSD stalls suspend clients mid-stream (data_window),
-    # which the columnar engine must replay op-by-op.
-    "data_window": ("zipf", "lunule", SMALL, {}, True),
+    # Data path on: OSD stalls suspend clients mid-stream (data_window).
+    "data_window": ("zipf", "lunule", 6, 11, 0.12, SMALL, {}, True),
     # Aggressive lease expiry: client dentry caches die every 3 ticks, so
     # every stream keeps re-charging its routing entries.
-    "lease_churn": ("mdtest", "lunule", SMALL.with_(client_lease_ttl=3),
-                    {}, False),
-    # One client, one MDS: exercises the lone-survivor drain budget.
-    "single_client": ("mdtest", "lunule",
+    "lease_churn": ("mdtest", "lunule", 6, 11, 0.12,
+                    SMALL.with_(client_lease_ttl=3), {}, False),
+    # One client, one MDS: a lone survivor drains in quantum rounds.
+    "single_client": ("mdtest", "lunule", 6, 11, 0.12,
                       SMALL.with_(n_mds=1, max_ticks=400), {}, False),
+    # Scan workloads at benchmark settings: inputs on which an earlier
+    # run-batching serve path decided differently from the reference.
+    "nlp_bench": ("nlp", "lunule", 20, 7, 0.12, BENCH_SIM_CONFIG, {}, False),
+    "cnn_bench": ("cnn", "lunule", 8, 1001, 0.05, BENCH_SIM_CONFIG, {}, False),
 }
 
 
 def run_engine(name: str, engine: str):
-    workload, balancer, sim, overrides, data_path = MATRIX[name]
-    cfg = ExperimentConfig(workload=workload, balancer=balancer, n_clients=6,
-                           seed=11, scale=0.12, data_path=data_path,
-                           sim=sim.with_(engine=engine),
+    (workload, balancer, n_clients, seed, scale, sim, overrides,
+     data_path) = MATRIX[name]
+    cfg = ExperimentConfig(workload=workload, balancer=balancer,
+                           n_clients=n_clients, seed=seed, scale=scale,
+                           data_path=data_path, sim=sim.with_(engine=engine),
                            workload_overrides=overrides or None)
     return run_traced(cfg)
 
