@@ -13,7 +13,11 @@ Two statistic families live here, updated from the same access stream:
   ``l_s`` of paper Eq. 4.
 
 Hot-path updates use plain Python lists (faster than NumPy scalar
-indexing); epoch-end aggregation converts to arrays for vectorized math.
+indexing). The epoch roll costs O(touched dirs), not O(namespace): each
+epoch of the pattern window is one sparse entry over the dirs touched
+(plus the sibling-bonus picks), the dense ``win_*`` running sums are
+updated at those dirs only, and a dir → entry refcount keeps the
+window-live set that :func:`repro.core.mindex.mindex_per_dir` evaluates.
 """
 
 from __future__ import annotations
@@ -61,8 +65,12 @@ class AccessStats:
         self._recurrent: list[int] = [0] * n
         self._first: list[int] = [0] * n
         self._created: list[int] = [0] * n
-        # Rolling window of the last `pattern_windows` epochs, plus running sums.
+        # Rolling window of the last `pattern_windows` epochs, plus running
+        # sums. Each entry is sparse: ``(idx, visits, recurrent, first, ls,
+        # created)`` over the dirs it names; ``_win_live`` counts the
+        # entries naming each dir.
         self._win: deque[tuple[np.ndarray, ...]] = deque()
+        self._win_live: dict[int, int] = {}
         self.win_visits = np.zeros(n)
         self.win_recurrent = np.zeros(n)
         self.win_first = np.zeros(n)
@@ -212,47 +220,47 @@ class AccessStats:
     def end_epoch(self) -> None:
         """Close the current cutting window and roll the pattern stats."""
         self._grow()
-        n = self.tree.n_dirs
-        # Only touched dirs carry nonzero counters: fill zero arrays from
-        # the touched set instead of converting the full per-dir lists.
         touched = sorted(self._touched_epoch)
-        visits = np.zeros(n)
-        recurrent = np.zeros(n)
-        first = np.zeros(n)
-        created = np.zeros(n)
-        if touched:
-            idx = np.array(touched, dtype=np.intp)
-            visits[idx] = [self._visits[d] for d in touched]
-            recurrent[idx] = [self._recurrent[d] for d in touched]
-            first[idx] = [self._first[d] for d in touched]
-            created[idx] = [self._created[d] for d in touched]
+        first_of = self._first
         self.last_epoch_mix = {
-            "visits": int(visits.sum()),
-            "recurrent": int(recurrent.sum()),
-            "first": int(first.sum()),
-            "created": int(created.sum()),
+            "visits": sum(self._visits[d] for d in touched),
+            "recurrent": sum(self._recurrent[d] for d in touched),
+            "first": sum(first_of[d] for d in touched),
+            "created": sum(self._created[d] for d in touched),
         }
 
         # Spatial correlation: a directory whose files are being visited for
         # the first time predicts first visits on a sibling too (paper §3.3:
         # "select one of its sibling subtrees with a certain probability and
         # increment its l_s").
-        ls = first.copy()
+        bonus: dict[int, int] = {}  # sibling pick -> l_s beyond its own first
         if self.sibling_probability > 0.0:
-            active = np.nonzero(first)[0]
-            stock = self.unvisited_array() if active.size else None
-            for d in active:
+            tree = self.tree
+            cutoff = self.epoch - self.recurrence_window
+            stock: dict[int, int] = {}  # unvisited stock, memoized per dir
+
+            def stock_of(s: int) -> int:
+                v = stock.get(s)
+                if v is None:
+                    v = stock[s] = (tree.n_files[s]
+                                    - tree.accessed_since(s, cutoff))
+                return v
+
+            for d in touched:
+                f = first_of[d]
+                if not f:
+                    continue
                 if self._rng.random() >= self.sibling_probability:
                     continue
-                parent = self.tree.parent[d]
+                parent = tree.parent[d]
                 if parent < 0:
                     continue
-                siblings = self.tree.children[parent]
+                siblings = tree.children[parent]
                 if len(siblings) < 2:
                     continue
                 # Spatial locality says the scan will reach a sibling that
                 # still holds unvisited stock — prefer those.
-                unvisited = [s for s in siblings if s != d and stock[s] > 0]
+                unvisited = [s for s in siblings if s != d and stock_of(s) > 0]
                 pool = unvisited if unvisited else [s for s in siblings if s != d]
                 if not pool:
                     continue
@@ -260,21 +268,27 @@ class AccessStats:
                 # A sibling cannot receive more first visits than it has
                 # unvisited stock: cap the bonus so small directories are
                 # not predicted to carry a huge folder's load.
-                ls[pick] += min(first[d], stock[pick])
+                bonus[pick] = bonus.get(pick, 0) + min(f, stock_of(pick))
 
-        self._win.append((visits, recurrent, first, ls, created))
-        self.win_visits += visits
-        self.win_recurrent += recurrent
-        self.win_first += first
-        self.win_ls += ls
-        self.win_created += created
+        # One sparse window entry over the touched dirs and sibling picks.
+        # Every counter is an integer, so the float running sums are exact
+        # and updating them at ``idx`` only matches a dense add of an array
+        # that is zero elsewhere, bit for bit.
+        dirs = sorted(self._touched_epoch.union(bonus)) if bonus else touched
+        idx = np.array(dirs, dtype=np.intp)
+        entry = (
+            idx,
+            np.array([self._visits[d] for d in dirs], dtype=np.float64),
+            np.array([self._recurrent[d] for d in dirs], dtype=np.float64),
+            np.array([first_of[d] for d in dirs], dtype=np.float64),
+            np.array([first_of[d] + bonus.get(d, 0) for d in dirs],
+                     dtype=np.float64),
+            np.array([self._created[d] for d in dirs], dtype=np.float64),
+        )
+        self._win_add(entry, 1)
+        self._win.append(entry)
         if len(self._win) > self.pattern_windows:
-            old = self._win.popleft()
-            # A grow() may have enlarged the running sums since `old` was
-            # recorded; subtract over the old prefix only.
-            for arr, name in zip(old, ("win_visits", "win_recurrent", "win_first",
-                                       "win_ls", "win_created")):
-                getattr(self, name)[: arr.size] -= arr
+            self._win_add(self._win.popleft(), -1)
 
         for d in touched:
             self._visits[d] = 0
@@ -292,7 +306,34 @@ class AccessStats:
             heat[d] = heat[d] * decay
         self.epoch += 1
 
+    def _win_add(self, entry: tuple[np.ndarray, ...], sign: int) -> None:
+        """Add (``sign=1``) or retire (``-1``) one window entry."""
+        idx = entry[0]
+        for arr, vals in zip((self.win_visits, self.win_recurrent,
+                              self.win_first, self.win_ls, self.win_created),
+                             entry[1:]):
+            if sign > 0:
+                arr[idx] += vals
+            else:
+                arr[idx] -= vals
+        live = self._win_live
+        for d in idx.tolist():
+            n = live.get(d, 0) + sign
+            if n:
+                live[d] = n
+            else:
+                del live[d]
+
     # -------------------------------------------------------------- snapshots
+    def window_dirs(self) -> np.ndarray:
+        """Dirs named by any entry of the pattern window.
+
+        Every other directory has all-zero window sums, so this is the
+        only set Eq. 4 can give a nonzero mIndex.
+        """
+        live = self._win_live
+        return np.fromiter(live, dtype=np.intp, count=len(live))
+
     def live_heat(self) -> tuple[list[float], int]:
         """Nonzero heat values (dir-id order) plus the total dir count.
 
@@ -334,6 +375,15 @@ class AccessStats:
         for d, recent in tree.recently_accessed(cutoff):
             out[d] -= recent
         return out
+
+    def unvisited_of(self, dirs: np.ndarray) -> np.ndarray:
+        """:meth:`unvisited_array` at ``dirs`` only, in that order."""
+        tree = self.tree
+        cutoff = self.epoch - self.recurrence_window
+        n_files = tree.n_files
+        since = tree.accessed_since
+        return np.array([n_files[d] - since(d, cutoff) for d in dirs.tolist()],
+                        dtype=np.float64)
 
     def pattern_arrays(self) -> dict[str, np.ndarray]:
         """Window sums for mIndex computation (copies, per-dir)."""

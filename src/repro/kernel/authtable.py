@@ -1,22 +1,23 @@
-"""Vectorized authority resolution: dir → auth MDS as a flat array.
+"""Fragment-owner tables for the turbo create tick, keyed to the map version.
 
-:class:`~repro.namespace.subtree.AuthorityMap.resolve_dir` walks ancestor
-chains per request with a per-version dict cache. The columnar engine
-instead resolves against a dense array rebuilt only when the authority
-map's version counter moves (migration commits, splits, pins, merges) —
-during a serve phase authority is constant by construction (the migrator
-and the balancer both run outside ``_serve_tick``), so one rebuild
-amortizes over every op of every tick until the next authority event.
+Directory authority itself comes from
+:meth:`~repro.namespace.subtree.AuthorityMap.resolve_dir`, whose
+per-version cache :class:`~repro.cluster.router.Router` already fills on
+every request. What the turbo tick needs on top is, per *fragmented*
+directory, the owner of every fragment in create order — so capacity
+emulation can walk whole same-owner segments instead of routing op by
+op. :meth:`AuthTable.refresh` rebuilds those tables when the authority
+map's version counter moves (migration commits, splits, pins, merges);
+during a serve phase authority is constant by construction (the
+migrator and the balancer both run outside ``_serve_tick``).
 
-The rebuild is a parent-pointer propagation: seed the array with the
-subtree roots' ranks, then repeatedly pull each unresolved directory's
-value from its parent. Directory ids are assigned child-after-parent, so
-the loop terminates in at most tree-depth iterations, all vectorized.
+The table deliberately holds nothing per directory: a refresh follows
+every subtree-root change, so its cost must scale with the fragmented
+dirs, not with the namespace (``docs/PERFORMANCE.md`` measures a dense
+dir→auth variant on a wide namespace).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.namespace.subtree import AuthorityMap
 
@@ -27,17 +28,11 @@ FragInfo = dict[int, tuple[int, dict[int, int], int | None]]
 
 
 class AuthTable:
-    """Dense dir→auth array + fragment summary, keyed to the map version."""
+    """Per-fragmented-dir owner tables, rebuilt when authority changes."""
 
     def __init__(self, authmap: AuthorityMap) -> None:
         self.authmap = authmap
         self._version = -1
-        self._n_dirs = -1
-        self._parent: np.ndarray | None = None
-        self._auth_arr: np.ndarray = np.empty(0, dtype=np.int64)
-        #: plain-list mirror of the array — Python list indexing is what
-        #: the engine's per-run scalar lookups actually pay for
-        self.auth: list[int] = []
         #: fragmented dirs with their live owner maps and, when every frag
         #: shares one owner, that owner (the uniform fast-path predicate)
         self.frag_info: FragInfo = {}
@@ -62,33 +57,12 @@ class AuthTable:
         self.frag_gen: dict[int, int] = {}
         #: dir -> (bits, owners snapshot, base) the tables were built from
         self._frag_src: dict[int, tuple[int, dict[int, int], int]] = {}
-        #: the subtree roots the auth array was propagated from
-        self._roots: dict[int, int] = {}
 
-    def refresh(self) -> list[int]:
-        """Return the dir→auth list, rebuilding if authority changed."""
+    def refresh(self) -> None:
+        """Bring the fragment tables up to the authority map's version."""
         authmap = self.authmap
-        tree = authmap.tree
-        n = tree.n_dirs
-        if authmap.version == self._version and n == self._n_dirs:
-            return self.auth
-        if self._parent is None or self._n_dirs != n:
-            parent = np.asarray(tree.parent, dtype=np.int64)
-            parent[0] = 0  # the root is its own fixpoint
-            self._parent = parent
-        roots = authmap.subtree_roots()
-        if n != self._n_dirs or roots != self._roots:
-            auth = np.full(n, -1, dtype=np.int64)
-            for d, mds in roots.items():
-                auth[d] = mds
-            unresolved = auth < 0
-            while bool(unresolved.any()):
-                auth[unresolved] = auth[self._parent[unresolved]]
-                unresolved = auth < 0
-            self._auth_arr = auth
-            self.auth = auth.tolist()
-            self._roots = dict(roots)
-        auth_l = self.auth
+        if authmap.version == self._version:
+            return
         frag_src = self._frag_src
         seen: set[int] = set()
         for d in authmap.fragmented_dirs():
@@ -96,7 +70,7 @@ class AuthTable:
             frag = authmap.frag_owners(d)
             assert frag is not None
             bits, owners = frag
-            base = auth_l[d]
+            base = authmap.resolve_dir(d)[0]
             prev = frag_src.get(d)
             if (prev is not None and prev[0] == bits and prev[2] == base
                     and prev[1] == owners):
@@ -134,10 +108,3 @@ class AuthTable:
                 del self.frag_rle[d], self.frag_tot[d], frag_src[d]
                 self.frag_gen[d] = self.frag_gen.get(d, 0) + 1
         self._version = authmap.version
-        self._n_dirs = n
-        return self.auth
-
-    def auth_array(self) -> np.ndarray:
-        """The dense dir→auth array behind :attr:`auth` (refreshed copy)."""
-        self.refresh()
-        return self._auth_arr.copy()

@@ -142,7 +142,7 @@ class ColumnarEngine:
             dirs.add(d)
             ds[i] = d
         table = self.table
-        auth = table.refresh()
+        table.refresh()
         router = self.router
         if router.lease_ttl > 0:
             # route() expires leases inside every client's first op of the
@@ -156,7 +156,7 @@ class ColumnarEngine:
         owners1 = [0] * k  # the single owner when cycles[i] is None
         slow = [False] * k  # cold/stale cache: served by the per-op turn
         for i, c in enumerate(active):
-            plan = self._warm_plan(c, ds[i], auth)
+            plan = self._warm_plan(c, ds[i])
             if plan is None:
                 slow[i] = True
             else:
@@ -224,7 +224,7 @@ class ColumnarEngine:
                     if self._serve_turn(c, now, budget):
                         # the turn's route() calls may have warmed the
                         # cache: emulate the client's rest of the tick
-                        plan = self._warm_plan(c, ds[i], auth)
+                        plan = self._warm_plan(c, ds[i])
                         if plan is not None:
                             slow[i] = False
                             nfs[i], n_cs[i], owners1[i], cycles[i] = plan
@@ -314,7 +314,7 @@ class ColumnarEngine:
         self._wait += wait
         return True
 
-    def _warm_plan(self, c: Client, d: int, auth: list[int]
+    def _warm_plan(self, c: Client, d: int
                    ) -> tuple[int, int, int, _Cycle | None] | None:
         """How the turbo tick emulates ``c``'s creates into ``d`` from now.
 
@@ -323,7 +323,8 @@ class ColumnarEngine:
         is cold or stale for this window — ``route`` could then hop or
         rewrite a cached owner, so the client is served op by op.
         """
-        if c.routing.auth_cache.get(d) != auth[d]:
+        auth = self.router.authmap.resolve_dir(d)[0]
+        if c.routing.auth_cache.get(d) != auth:
             return None
         left = c.stream_left()
         assert left is not None
@@ -333,7 +334,7 @@ class ColumnarEngine:
         table = self.table
         seq = table.frag_seq.get(d)
         if seq is None:
-            return nf, n_c, auth[d], None
+            return nf, n_c, auth, None
         if not self._frag_window_warm(c, d, nf, n_c, seq, table.frag_gen[d]):
             return None
         uniform = table.frag_info[d][2]

@@ -13,6 +13,8 @@ relative to requests.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.namespace.dirfrag import FragId, frag_of
 from repro.namespace.tree import NamespaceTree
 
@@ -237,21 +239,32 @@ class AuthorityMap:
         """Inodes (dirs + files) authoritative on each MDS rank.
 
         Fragmented directories attribute their files to frag owners; the
-        directory inode itself goes to the subtree authority.
+        directory inode itself goes to the subtree authority. Authority is
+        resolved for every directory at once — the roots' ranks pulled down
+        parent pointers, vectorized — and the inodes binned per rank.
         """
-        counts = [0] * n_mds
-        for root in self._subtree_auth:
-            auth = self._subtree_auth[root]
-            for d in self.extent(root):
-                counts[auth] += 1  # the dir inode
-                frag = self._frags.get(d)
-                if frag is None:
-                    counts[auth] += self.tree.n_files[d]
-                else:
-                    bits, owners = frag
-                    n = self.tree.n_files[d]
-                    width = 1 << bits
-                    full, rem = divmod(n, width)
-                    for frag_no, owner in owners.items():
-                        counts[owner] += full + (1 if frag_no < rem else 0)
+        tree = self.tree
+        parent = np.asarray(tree.parent, dtype=np.intp)
+        auth = np.full(tree.n_dirs, -1, dtype=np.intp)
+        auth[list(self._subtree_auth)] = list(self._subtree_auth.values())
+        # ids are assigned child-after-parent, so this settles in at most
+        # tree-depth rounds, each over the still-unresolved dirs only
+        todo = np.flatnonzero(auth < 0)
+        while todo.size:
+            auth[todo] = auth[parent[todo]]
+            todo = todo[auth[todo] < 0]
+        inodes = tree.n_files_array() + 1.0
+        for d in self._frags:
+            inodes[d] = 1.0  # files go to the frag owners below
+        binned = np.bincount(auth, weights=inodes, minlength=n_mds)
+        if binned.size > n_mds:
+            raise IndexError(f"authority names rank {binned.size - 1} "
+                             f"but the cluster has {n_mds}")
+        counts = [int(c) for c in binned]
+        for d, (bits, owners) in self._frags.items():
+            n = tree.n_files[d]
+            width = 1 << bits
+            full, rem = divmod(n, width)
+            for frag_no, owner in owners.items():
+                counts[owner] += full + (1 if frag_no < rem else 0)
         return counts

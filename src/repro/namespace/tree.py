@@ -108,14 +108,19 @@ class NamespaceTree:
         to the number of *touched* directories times the window width — not
         to the total file population.
         """
-        for d, counts in self._access_counts.items():
-            lo = cutoff - self._access_base[d]
-            if lo < 0:
-                lo = 0
-            if lo < len(counts):
-                c = sum(counts[lo:])
-                if c:
-                    yield d, c
+        for d in self._access_counts:
+            c = self.accessed_since(d, cutoff)
+            if c:
+                yield d, c
+
+    def accessed_since(self, dir_id: int, cutoff: int) -> int:
+        """Files of ``dir_id`` last accessed at epoch >= ``cutoff``, in
+        O(window) from the directory's epoch histogram."""
+        counts = self._access_counts.get(dir_id)
+        if counts is None:
+            return 0
+        lo = cutoff - self._access_base[dir_id]
+        return sum(counts[lo:]) if lo > 0 else sum(counts)
 
     def _access_array(self, dir_id: int) -> np.ndarray:
         arr = self._file_last_access.get(dir_id)

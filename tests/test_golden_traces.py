@@ -16,11 +16,13 @@ and review the golden-file diff like any other code change.
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 import pytest
 
-from repro.cluster.simulator import SimConfig
+from repro.balancers import make_balancer
+from repro.cluster.simulator import SimConfig, Simulator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_traced
 from repro.obs.tracelog import TraceLog, read_jsonl
@@ -32,16 +34,39 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_SIM = SimConfig(n_mds=3, mds_capacity=60.0, epoch_len=5,
                        max_ticks=3000, migration_rate=50, seed=0)
 
+#: the wide-namespace scenario: 16 create streams over 66,084 directories,
+#: above the candidate walk's ``SPARSE_DIR_THRESHOLD``, so the sparse
+#: candidate, window-stats and mIndex paths make its decisions
+WIDE_SIM = GOLDEN_SIM.with_(n_mds=4)
+
 SCENARIOS = {
     "mdtest_lunule": ("mdtest", "lunule"),
     "mdtest_vanilla": ("mdtest", "vanilla"),
     "mixed_lunule": ("mixed", "lunule"),
     "mixed_vanilla": ("mixed", "vanilla"),
+    "wide_lunule": ("megatree", "lunule"),
 }
+
+
+def _mega_tree_workload():
+    """``MegaTreeWorkload`` from the core-speed benchmark, loaded by path
+    (as ``perfbench/shapes.py`` does) so the golden runs the benchmark's
+    wide-namespace recipe."""
+    path = GOLDEN_DIR.parent.parent / "benchmarks" / "bench_core_speed.py"
+    spec = importlib.util.spec_from_file_location("bench_core_speed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MegaTreeWorkload
 
 
 def run_scenario(name: str, record: bool = False):
     workload, balancer = SCENARIOS[name]
+    if workload == "megatree":
+        sim_cfg = WIDE_SIM.with_(record=True) if record else WIDE_SIM
+        instance = _mega_tree_workload()(
+            16, n_cold_dirs=66_000, creates_per_client=400).materialize(seed=7)
+        sim = Simulator(instance, make_balancer(balancer), sim_cfg)
+        return sim.run(), sim
     sim = GOLDEN_SIM.with_(record=True) if record else GOLDEN_SIM
     cfg = ExperimentConfig(workload=workload, balancer=balancer, n_clients=8,
                            seed=7, scale=0.15, sim=sim)
@@ -245,3 +270,18 @@ def test_golden_traces_carry_complete_provenance():
         report = explain(events)
         assert report["summary"]["truncated_chains"] == 0
         assert report["summary"]["committed"] == sim.migrator.committed_tasks
+
+
+def test_wide_golden_runs_the_sparse_epoch_paths():
+    """``wide_lunule`` guards the sparse candidate, window and mIndex
+    paths only while its namespace stays above the sparse threshold and
+    its run still fragments, commits and aborts."""
+    from repro.balancers.candidates import SPARSE_DIR_THRESHOLD
+
+    result, sim = run_scenario("wide_lunule")
+    assert sim.tree.n_dirs >= SPARSE_DIR_THRESHOLD
+    counts = sim.trace.counts()
+    assert counts["epoch_start"] == len(result.if_series) > 1
+    assert counts["migration_committed"] > 0
+    assert counts["migration_aborted"] > 0
+    assert len(sim.authmap.fragmented_dirs()) > 0

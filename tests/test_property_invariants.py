@@ -71,6 +71,50 @@ class TestAuthorityPartition:
             assert sum(am.inode_distribution(5)) == expected
 
 
+def extent_walk_distribution(am: AuthorityMap, n_mds: int) -> list[int]:
+    """Oracle: inodes per rank by walking every subtree root's extent
+    (the per-directory walk ``AuthorityMap.inode_distribution`` replaced)."""
+    counts = [0] * n_mds
+    for root, auth in am.subtree_roots().items():
+        for d in am.extent(root):
+            counts[auth] += 1  # the dir inode
+            frag = am.frag_state(d)
+            if frag is None:
+                counts[auth] += am.tree.n_files[d]
+            else:
+                bits, owners = frag
+                full, rem = divmod(am.tree.n_files[d], 1 << bits)
+                for frag_no, owner in owners.items():
+                    counts[owner] += full + (1 if frag_no < rem else 0)
+    return counts
+
+
+class TestInodeDistributionOracle:
+    @given(tree_strategy,
+           st.lists(st.tuples(st.integers(0, 200), st.integers(0, 4)), max_size=15),
+           st.lists(st.tuples(st.integers(0, 200), st.integers(1, 3),
+                              st.lists(st.tuples(st.integers(0, 7),
+                                                 st.integers(0, 4)),
+                                       max_size=6)),
+                    max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_vectorized_distribution_equals_extent_walk(
+            self, tree, assignments, splits):
+        am = AuthorityMap(tree, 0)
+        for raw_d, mds in assignments:  # nested roots, in any order
+            am.set_subtree_auth(raw_d % tree.n_dirs, mds)
+            assert am.inode_distribution(5) == extent_walk_distribution(am, 5)
+        for raw_d, bits, moves in splits:  # fragmented dirs, some exported
+            d = raw_d % tree.n_dirs
+            frags = am.split_dir(d, bits)
+            for raw_f, mds in moves:
+                am.set_frag_auth(frags[raw_f % len(frags)], mds)
+            assert am.inode_distribution(5) == extent_walk_distribution(am, 5)
+        am.merge_redundant_roots()
+        assert am.inode_distribution(5) == extent_walk_distribution(am, 5)
+        assert sum(am.inode_distribution(5)) == tree.n_dirs + tree.total_files()
+
+
 class TestFragPartition:
     @given(st.integers(0, 500), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
