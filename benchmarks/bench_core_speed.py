@@ -138,13 +138,13 @@ class MegaTreeWorkload(Workload):
         self.creates_per_client = creates_per_client
 
     def build_namespace(self, tree, seed):
-        dirs = [tree.add_dir(0, f"mega{i}") for i in range(self.n_clients)]
+        dirs = list(tree.add_dirs(0, [f"mega{i}" for i in range(self.n_clients)]))
         cold_root = tree.add_dir(0, "cold")
         fanout = 1000
+        # one shared name list: every cold parent has the same leaf names
+        leaf_names = [f"d{j}" for j in range(fanout)]
         for i in range(self.n_cold_dirs // fanout):
-            p = tree.add_dir(cold_root, f"c{i}")
-            for j in range(fanout):
-                tree.add_dir(p, f"d{j}")
+            tree.add_dirs(tree.add_dir(cold_root, f"c{i}"), leaf_names)
         return BuiltNamespace(tree, 0, dirs, [0] * len(dirs))
 
     def client_ops(self, built, client_index, seed):

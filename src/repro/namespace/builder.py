@@ -50,13 +50,10 @@ def build_fanout(n_dirs: int, files_per_dir: int, *, tree: NamespaceTree | None 
         raise ValueError("need at least one directory and non-negative files")
     tree = tree if tree is not None else NamespaceTree()
     root = tree.add_dir(parent, f"{prefix}_root") if prefix else parent
-    dirs, files = [], []
-    for i in range(n_dirs):
-        d = tree.add_dir(root, f"{prefix}_{i:04d}")
+    dirs = list(tree.add_dirs(root, [f"{prefix}_{i:04d}" for i in range(n_dirs)]))
+    for d in dirs:
         tree.add_files(d, files_per_dir)
-        dirs.append(d)
-        files.append(files_per_dir)
-    return BuiltNamespace(tree, root, dirs, files)
+    return BuiltNamespace(tree, root, dirs, [files_per_dir] * n_dirs)
 
 
 def build_corpus(n_folders: int, total_files: int, *, skew: float = 1.4, seed: int = 0,
@@ -77,12 +74,10 @@ def build_corpus(n_folders: int, total_files: int, *, skew: float = 1.4, seed: i
     sizes = np.maximum(1, np.round(weights * total_files).astype(int))
     rng = substream(seed, "builder", "corpus")
     rng.shuffle(sizes)
-    dirs, files = [], []
-    for i, size in enumerate(sizes):
-        d = tree.add_dir(root, f"{prefix}_{i:02d}")
-        tree.add_files(d, int(size))
-        dirs.append(d)
-        files.append(int(size))
+    dirs = list(tree.add_dirs(root, [f"{prefix}_{i:02d}" for i in range(n_folders)]))
+    files = [int(size) for size in sizes]
+    for d, size in zip(dirs, files):
+        tree.add_files(d, size)
     return BuiltNamespace(tree, root, dirs, files)
 
 
@@ -102,16 +97,14 @@ def build_web(n_top: int, n_sub_per_top: int, total_files: int, *, seed: int = 0
     n_leaf = n_top * n_sub_per_top
     raw = rng.pareto(1.2, size=n_leaf) + 1.0
     sizes = np.maximum(1, np.round(raw / raw.sum() * total_files).astype(int))
-    dirs, files = [], []
-    leaf = 0
+    sections = [f"sec{s:03d}" for s in range(n_sub_per_top)]
+    dirs: list[int] = []
     for t in range(n_top):
         top = tree.add_dir(root, f"{prefix}_site{t:03d}")
-        for s in range(n_sub_per_top):
-            d = tree.add_dir(top, f"sec{s:03d}")
-            tree.add_files(d, int(sizes[leaf]))
-            dirs.append(d)
-            files.append(int(sizes[leaf]))
-            leaf += 1
+        dirs.extend(tree.add_dirs(top, sections))
+    files = [int(size) for size in sizes]
+    for d, size in zip(dirs, files):
+        tree.add_files(d, size)
     return BuiltNamespace(tree, root, dirs, files)
 
 
@@ -122,13 +115,10 @@ def build_private_dirs(n_clients: int, files_per_dir: int, *, tree: NamespaceTre
         raise ValueError("need >= 1 client and non-negative files")
     tree = tree if tree is not None else NamespaceTree()
     root = tree.add_dir(parent, f"{prefix}_root")
-    dirs, files = [], []
-    for i in range(n_clients):
-        d = tree.add_dir(root, f"{prefix}_{i:03d}")
+    dirs = list(tree.add_dirs(root, [f"{prefix}_{i:03d}" for i in range(n_clients)]))
+    for d in dirs:
         tree.add_files(d, files_per_dir)
-        dirs.append(d)
-        files.append(files_per_dir)
-    return BuiltNamespace(tree, root, dirs, files)
+    return BuiltNamespace(tree, root, dirs, [files_per_dir] * n_clients)
 
 
 def merge_builds(*parts: BuiltNamespace) -> NamespaceTree:

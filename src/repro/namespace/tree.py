@@ -8,13 +8,18 @@ can grow at runtime (MDtest-style create streams).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 __all__ = ["NamespaceTree", "NEVER_ACCESSED"]
 
 NEVER_ACCESSED = -1
+
+#: The child entry of every leaf directory. One immutable object shared
+#: by all leaves: a wide namespace is mostly leaves, and a fresh list per
+#: leaf would dominate the garbage-collected heap.
+_NO_CHILDREN: tuple[int, ...] = ()
 
 
 class NamespaceTree:
@@ -24,11 +29,19 @@ class NamespaceTree:
     in :class:`repro.namespace.subtree.AuthorityMap`. The tree does own the
     per-file *last accessed epoch* state because both the vanilla balancer's
     heat and Lunule's pattern analyzer are derived from it.
+
+    Directories are stored column-wise (``parent``, ``children``,
+    ``names``, ``n_files``, ``depth``, indexed by dir id). Build wide
+    levels with :meth:`add_dirs`, which appends a whole sibling set with
+    one ``extend`` per column; a per-directory :meth:`add_dir` loop is
+    the slow path. ``children[d]`` of a leaf is one shared immutable
+    empty tuple, replaced by a list when ``d`` gets its first child:
+    read it freely, but never mutate ``children[d]`` directly.
     """
 
     def __init__(self) -> None:
         self.parent: list[int] = [-1]
-        self.children: list[list[int]] = [[]]
+        self.children: list[list[int] | tuple[int, ...]] = [_NO_CHILDREN]
         self.names: list[str] = ["/"]
         self.n_files: list[int] = [0]
         self.depth: list[int] = [0]
@@ -53,20 +66,37 @@ class NamespaceTree:
     # ------------------------------------------------------------------ build
     def add_dir(self, parent: int, name: str) -> int:
         """Create a directory under ``parent`` and return its id."""
+        return self.add_dirs(parent, (name,)).start
+
+    def add_dirs(self, parent: int, names: Sequence[str]) -> range:
+        """Create one child of ``parent`` per name; return their ids.
+
+        Ids are consecutive and follow ``names`` order, exactly as the
+        same sequence of :meth:`add_dir` calls would assign them.
+        ``names`` is only read, so one list may serve many parents.
+        """
         self._check_dir(parent)
-        dir_id = len(self.parent)
-        self.parent.append(parent)
-        self.children.append([])
-        self.names.append(name)
-        self.n_files.append(0)
-        self.depth.append(self.depth[parent] + 1)
-        self._unvisited.append(0)
-        self.children[parent].append(dir_id)
-        if dir_id >= self._n_files_arr.size:
-            grown = np.zeros(2 * self._n_files_arr.size)
-            grown[: self._n_files_arr.size] = self._n_files_arr
+        first = len(self.parent)
+        n = len(names)
+        if not n:
+            return range(first, first)
+        self.parent.extend([parent] * n)
+        self.children.extend([_NO_CHILDREN] * n)
+        self.names.extend(names)
+        self.n_files.extend([0] * n)
+        self.depth.extend([self.depth[parent] + 1] * n)
+        self._unvisited.extend([0] * n)
+        ids = range(first, first + n)
+        kids = self.children[parent]
+        if not isinstance(kids, list):
+            kids = self.children[parent] = []
+        kids.extend(ids)
+        size = self._n_files_arr.size
+        if ids.stop > size:
+            grown = np.zeros(max(2 * size, ids.stop))
+            grown[:size] = self._n_files_arr
             self._n_files_arr = grown
-        return dir_id
+        return ids
 
     def add_files(self, dir_id: int, count: int) -> int:
         """Add ``count`` files to ``dir_id``; returns the first new index."""

@@ -41,6 +41,30 @@ _JSON = "application/json; charset=utf-8"
 #: how long an /events stream waits for the next event before checking
 #: whether the client or the service went away
 _STREAM_POLL_S = 0.5
+#: largest POST body read; a control request is a few dozen bytes
+_MAX_BODY_BYTES = 64 * 1024
+
+
+class _UnreadBody(ValueError):
+    """A request refused before its body was read (the connection closes,
+    since the unread bytes would otherwise parse as the next request)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _json_object(raw: bytes) -> dict:
+    """``raw`` parsed as a JSON object; ``ValueError`` on anything else."""
+    if not raw:
+        raise ValueError("empty request body; expected JSON")
+    try:
+        doc = json.loads(raw)
+    except RecursionError:
+        raise ValueError("request body nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    return doc
 
 
 class ControlPlane:
@@ -86,6 +110,8 @@ def _make_handler(service: SimulatorService) -> type[BaseHTTPRequestHandler]:
             self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -93,12 +119,19 @@ def _make_handler(service: SimulatorService) -> type[BaseHTTPRequestHandler]:
             body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
             self._send(code, body, _JSON)
 
-        def _read_json(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                raise ValueError("empty request body; expected JSON")
-            return json.loads(raw)
+        def _read_body(self) -> bytes:
+            """The whole request body, so a kept-alive connection stays in
+            step; refused unread when its length is bad or over the cap."""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                raise _UnreadBody(400, "Content-Length is not an integer") from None
+            if length < 0:
+                raise _UnreadBody(400, "negative Content-Length")
+            if length > _MAX_BODY_BYTES:
+                raise _UnreadBody(
+                    413, f"request body over {_MAX_BODY_BYTES} bytes")
+            return self.rfile.read(length) if length else b""
 
         # ------------------------------------------------------------- routes
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -118,8 +151,9 @@ def _make_handler(service: SimulatorService) -> type[BaseHTTPRequestHandler]:
         def do_POST(self) -> None:  # noqa: N802
             path = self.path.split("?", 1)[0]
             try:
+                body = self._read_body()
                 if path == "/config":
-                    queued = service.queue_mutations(self._read_json())
+                    queued = service.queue_mutations(_json_object(body))
                     self._send_json(202, {
                         "queued": queued,
                         "applies": "at the next epoch boundary"})
@@ -130,8 +164,12 @@ def _make_handler(service: SimulatorService) -> type[BaseHTTPRequestHandler]:
                     service.resume()
                     self._send_json(200, {"state": service.current_state()})
                 elif path == "/step":
-                    doc = self._read_json()
-                    service.step(int(doc.get("ticks", 1)))
+                    ticks = _json_object(body).get("ticks", 1)
+                    # bool is an int subclass; JSON true is not a count
+                    if type(ticks) is not int:
+                        raise ValueError(
+                            "ticks must be a positive JSON integer")
+                    service.step(ticks)  # ValueError unless positive
                     self._send_json(200, {"state": service.current_state()})
                 elif path == "/shutdown":
                     service.request_stop()
@@ -139,7 +177,11 @@ def _make_handler(service: SimulatorService) -> type[BaseHTTPRequestHandler]:
                 else:
                     self._send_json(404, {"error": f"no such endpoint {path!r}"})
             except (MutationError, ValueError) as exc:
-                self._send_json(400, {"error": str(exc)})
+                status = 400
+                if isinstance(exc, _UnreadBody):
+                    self.close_connection = True
+                    status = exc.status
+                self._send_json(status, {"error": str(exc)})
 
         # ------------------------------------------------------------ streaming
         def _stream_events(self, sse: bool) -> None:

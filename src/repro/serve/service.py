@@ -309,7 +309,8 @@ class SimulatorService:
                 return str(raw)
         except MutationError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of a JSON Infinity
             raise MutationError(f"bad value for {key!r}: {exc}") from None
         raise MutationError(
             f"unknown config key {key!r}; settable: "

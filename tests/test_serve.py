@@ -11,12 +11,14 @@ the stdlib control plane, runtime mutation at epoch boundaries, the
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.simulator import SimConfig
 from repro.experiments.config import ExperimentConfig
@@ -55,6 +57,61 @@ def _post(url: str, doc: dict | None = None):
                                  headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=10) as resp:
         return resp.status, json.loads(resp.read())
+
+
+def _raw_post(plane: ControlPlane, path: str, body: bytes,
+              length: str | None = None):
+    """POST ``body`` verbatim, optionally under a false Content-Length."""
+    conn = http.client.HTTPConnection(plane.host, plane.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length",
+                       str(len(body)) if length is None else length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+#: bodies no endpoint may accept, each with the endpoints it is posted to
+MALFORMED_BODIES = [
+    (b"[1, 2]", ("/config", "/step")),
+    (b'"ticks"', ("/config", "/step")),
+    (b"7", ("/config", "/step")),
+    (b"null", ("/config", "/step")),
+    (b"{not json", ("/config", "/step")),
+    (b"\xff\xfe\x00", ("/config", "/step")),
+    (b"[" * 60_000, ("/config", "/step")),
+    (b"{}", ("/config",)),
+    (b'{"if_threshold": [1]}', ("/config",)),
+    (b'{"epoch_len": Infinity}', ("/config",)),
+    (b'{"epoch_len": -2}', ("/config",)),
+    (b'{"ticks": [1]}', ("/step",)),
+    (b'{"ticks": true}', ("/step",)),
+    (b'{"ticks": 1.0}', ("/step",)),
+    (b'{"ticks": "4"}', ("/step",)),
+    (b'{"ticks": null}', ("/step",)),
+    (b'{"ticks": {}}', ("/step",)),
+    (b'{"ticks": 0}', ("/step",)),
+    (b'{"ticks": -3}', ("/step",)),
+]
+
+
+#: JSON documents shaped like control requests: the settable keys and
+#: ``ticks`` mixed with junk, values of every JSON type
+_json_leaf = (st.none() | st.booleans() | st.integers()
+              | st.floats(allow_nan=False) | st.text(max_size=6))
+_json_doc = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["ticks", "epoch_len", "if_threshold", "balancer",
+                         "regression_window", "use_urgency"])
+        | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_bodies = (st.binary(max_size=64)
+           | _json_doc.map(lambda d: json.dumps(d).encode()))
 
 
 # --------------------------------------------------------------- determinism
@@ -296,6 +353,69 @@ class TestControlPlane:
         code, doc = _post(plane.url + "/shutdown")
         assert code == 200 and doc["stopping"] is True
         assert svc._stop_requested
+
+    def test_malformed_bodies_get_4xx_and_leave_the_run_alone(self, plane):
+        svc, plane = plane
+        svc.start()
+        svc.pause()
+        _, batch = run_traced(serve_cfg(record=True))
+        trace_before = svc.sim.trace.dumps()
+        for body, paths in MALFORMED_BODIES:
+            for path in paths:
+                code, doc = _raw_post(plane, path, body)
+                assert code == 400, (path, body[:40], doc)
+                assert set(doc) == {"error"}, doc
+        # a claimed length is refused before any byte of the body is read
+        for length, want in (("-5", 400), ("twelve", 400),
+                             (str(10 ** 9), 413)):
+            for path in ("/config", "/step"):
+                code, doc = _raw_post(plane, path, b"", length=length)
+                assert code == want, (path, length, doc)
+                assert set(doc) == {"error"}, doc
+        assert _get(plane.url + "/status")[0] == 200  # still serving
+        assert svc.current_state() == "paused"
+        assert svc._pending == [] and svc._step_budget == 0
+        assert svc.sim.trace.dumps() == trace_before
+        # nothing was queued: the finished run is the batch run
+        svc.resume()
+        svc.run_to_completion()
+        assert svc.sim.trace.dumps() == batch.trace.dumps()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(posts=st.lists(st.tuples(
+        st.sampled_from(["/config", "/step", "/pause", "/resume",
+                         "/shutdown", "/nope"]), _bodies), max_size=4))
+    def test_random_bodies_get_a_json_answer_and_no_ticks(self, plane, posts):
+        svc, plane = plane
+        svc.start()
+        trace_before = svc.sim.trace.dumps()
+        for path, body in posts:
+            code, doc = _raw_post(plane, path, body)
+            assert code in (200, 202, 400, 404), (path, body, doc)
+            assert (code >= 400) == ("error" in doc), doc
+        # queued mutations apply at an epoch boundary; nobody ticks here
+        assert svc.sim.trace.dumps() == trace_before
+
+    def test_bodies_are_consumed_on_a_kept_alive_connection(self, plane):
+        # a body posted to an endpoint that ignores it must not be parsed
+        # as the next request on the same connection
+        svc, plane = plane
+        svc.start()
+        conn = http.client.HTTPConnection(plane.host, plane.port, timeout=10)
+        try:
+            for path, want in (("/pause", 200), ("/nope", 404),
+                               ("/resume", 200), ("/pause", 200)):
+                conn.request("POST", path, body=b'{"x": 1}')
+                resp = conn.getresponse()
+                assert resp.status == want, path
+                json.loads(resp.read())  # JSON, not the stdlib's HTML page
+            conn.request("GET", "/status")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["state"] == "paused"
+        finally:
+            conn.close()
 
     def test_metrics_scrape_roundtrip_under_concurrent_ticking(self):
         # satellite: live /metrics must stay parseable by the repo's own
